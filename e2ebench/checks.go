@@ -7,6 +7,7 @@ import (
 
 	"fscache/internal/alloc"
 	"fscache/internal/core"
+	"fscache/internal/server"
 	"fscache/internal/sim"
 	"fscache/internal/stats"
 	"fscache/internal/trace"
@@ -207,6 +208,45 @@ func checkGet(key []byte, found bool, val []byte, latest uint32) error {
 	want := appendValue(nil, key, latest)
 	if !bytes.Equal(val, want) {
 		return fmt.Errorf("GET %s returned %q, the latest acknowledged SET wrote %q", key, val, want)
+	}
+	return nil
+}
+
+// checkServerCounts checks the server's per-tenant GET accounting against
+// the client's: Hits + Misses must equal the GETs the client sent, and Hits
+// the GETs it saw found.
+func checkServerCounts(tenants []server.TenantStats, gets, found []uint64) error {
+	for t, ts := range tenants {
+		if ts.Hits+ts.Misses != gets[t] || ts.Hits != found[t] {
+			return fmt.Errorf("tenant %d: server counts %d hits and %d misses, the client sent %d GETs and saw %d found",
+				t, ts.Hits, ts.Misses, gets[t], found[t])
+		}
+	}
+	return nil
+}
+
+// checkUndegraded checks that the server shed, served stale, rejected or
+// deadlined no request, and that no connection saw a panic, a bad frame, a
+// slow-client drop or a forced close.
+func checkUndegraded(st server.StatsSnapshot) error {
+	for t, ts := range st.Tenants {
+		if ts.Shed+ts.StaleServes+ts.Rejected+ts.Deadlined != 0 {
+			return fmt.Errorf("tenant %d: %d shed, %d stale, %d rejected, %d deadlined requests",
+				t, ts.Shed, ts.StaleServes, ts.Rejected, ts.Deadlined)
+		}
+	}
+	if st.Panics+st.BadFrames+st.SlowClients+st.ForcedConns != 0 {
+		return fmt.Errorf("server reports %d panics, %d bad frames, %d slow clients, %d forced closes",
+			st.Panics, st.BadFrames, st.SlowClients, st.ForcedConns)
+	}
+	return nil
+}
+
+// checkColdMisses checks that the misses counted from a cold cache's first
+// access cover every distinct address of the input: each must miss once.
+func checkColdMisses(misses int64, distinct int) error {
+	if misses < int64(distinct) {
+		return fmt.Errorf("%d misses from the first access, below the %d distinct addresses of the input", misses, distinct)
 	}
 	return nil
 }

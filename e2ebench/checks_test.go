@@ -8,6 +8,7 @@ import (
 	"fscache/internal/core"
 	"fscache/internal/experiments"
 	"fscache/internal/futility"
+	"fscache/internal/server"
 	"fscache/internal/sim"
 	"fscache/internal/stats"
 	"fscache/internal/trace"
@@ -214,5 +215,74 @@ func TestCheckExactRepeatCatchesDrift(t *testing.T) {
 	b.e2e["aef"] = 0.9000001
 	if err := checkExactRepeat([]*roundResult{a, b}); err == nil {
 		t.Fatal("differing rounds not reported")
+	}
+}
+
+func TestCheckColdMissesCatchesLostMiss(t *testing.T) {
+	addrs, _, res, _ := cacheRun(t)
+	// Up to the first eviction every miss is the first touch of its
+	// address, so the misses equal the distinct addresses exactly.
+	n := 0
+	for n < len(res) && !res[n].Evicted {
+		n++
+	}
+	seen := map[uint64]bool{}
+	var misses int64
+	for i := 0; i < n; i++ {
+		seen[addrs[i]] = true
+		if !res[i].Hit {
+			misses++
+		}
+	}
+	if misses != int64(len(seen)) {
+		t.Fatalf("%d cold misses on %d distinct addresses", misses, len(seen))
+	}
+	if err := checkColdMisses(misses, len(seen)); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkColdMisses(misses-1, len(seen)); err == nil {
+		t.Fatal("misses below the distinct addresses not reported")
+	}
+}
+
+func TestCheckServerCountsCatchesMiscount(t *testing.T) {
+	tenants := []server.TenantStats{{Hits: 70, Misses: 30}, {Hits: 5, Misses: 45}}
+	gets, found := []uint64{100, 50}, []uint64{70, 5}
+	if err := checkServerCounts(tenants, gets, found); err != nil {
+		t.Fatal(err)
+	}
+	tenants[1].Hits++ // one GET counted as a hit that the client saw missing
+	tenants[1].Misses--
+	if err := checkServerCounts(tenants, gets, found); err == nil {
+		t.Fatal("off-by-one hit count not reported")
+	}
+	tenants[1].Hits--
+	tenants[0].Misses++ // one GET the client never sent
+	if err := checkServerCounts(tenants, gets, found); err == nil {
+		t.Fatal("GET count above the client's not reported")
+	}
+}
+
+func TestCheckUndegradedCatchesDegradation(t *testing.T) {
+	clean := server.StatsSnapshot{Tenants: []server.TenantStats{{Hits: 9}, {Misses: 3}}}
+	if err := checkUndegraded(clean); err != nil {
+		t.Fatal(err)
+	}
+	for name, plant := range map[string]func(*server.StatsSnapshot){
+		"shed":         func(s *server.StatsSnapshot) { s.Tenants[1].Shed = 1 },
+		"stale":        func(s *server.StatsSnapshot) { s.Tenants[0].StaleServes = 1 },
+		"rejected":     func(s *server.StatsSnapshot) { s.Tenants[1].Rejected = 1 },
+		"deadlined":    func(s *server.StatsSnapshot) { s.Tenants[0].Deadlined = 1 },
+		"panic":        func(s *server.StatsSnapshot) { s.Panics = 1 },
+		"bad frame":    func(s *server.StatsSnapshot) { s.BadFrames = 1 },
+		"slow client":  func(s *server.StatsSnapshot) { s.SlowClients = 1 },
+		"forced close": func(s *server.StatsSnapshot) { s.ForcedConns = 1 },
+	} {
+		st := clean
+		st.Tenants = append([]server.TenantStats(nil), clean.Tenants...)
+		plant(&st)
+		if err := checkUndegraded(st); err == nil {
+			t.Errorf("one %s request not reported", name)
+		}
 	}
 }

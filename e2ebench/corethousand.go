@@ -212,7 +212,9 @@ func (c *coreThousand) round(tr *tracer) (*roundResult, error) {
 			lat.add(r.Hit, end-start)
 			tr.record("core.Cache.Access", 0, 0, start, end)
 		}
-		timed += time.Since(t0)
+		d := time.Since(t0)
+		timed += d
+		rr.wall = append(rr.wall, d.Seconds())
 		occ = append(occ, relErr(cache.Sizes(), targets))
 	}
 	c1 := sampleCPU()
@@ -242,8 +244,8 @@ func (c *coreThousand) round(tr *tracer) (*roundResult, error) {
 	if err := model.compare(cache.Sizes()); err != nil {
 		return nil, err
 	}
-	if misses < int64(c.distinct) {
-		return nil, fmt.Errorf("%d misses from the first access, below the %d distinct addresses of the input", misses, c.distinct)
+	if err := checkColdMisses(misses, c.distinct); err != nil {
+		return nil, err
 	}
 	if err := cache.CheckInvariants(); err != nil {
 		return nil, err
@@ -261,6 +263,7 @@ func (c *coreThousand) round(tr *tracer) (*roundResult, error) {
 		pooled.Merge(st.EvictFutility)
 		ipc += partIPC(instrs[p], st.Hits+st.Misses, st.Misses)
 	}
+	rr.timedOps = accesses
 	rr.e2e["macc_s"] = float64(accesses) / timed.Seconds() / 1e6
 	rr.e2e["miss_ratio"] = float64(miss) / float64(hits+miss)
 	rr.e2e["aef"] = pooled.Mean()

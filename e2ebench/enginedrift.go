@@ -26,8 +26,10 @@ const (
 	// fsserve's 250 ms default: the occupancy error moves with each target
 	// install, and a run must average over enough of them to repeat.
 	rebalanceEvery = 50 * time.Millisecond
-	// driftOccEvery is worker 0's access interval between occupancy reads.
-	driftOccEvery = 1024
+	// driftSegment is the number of accesses each worker makes between two
+	// barriers of the timed phase. The occupancy error is read at each
+	// barrier, while the timer is stopped and the engine is quiet.
+	driftSegment = 2048
 )
 
 type engineDrift struct {
@@ -83,7 +85,6 @@ type driftWorker struct {
 	tr     *tracer
 	// post-warm-up hits and misses per partition, and instructions.
 	hits, misses, instrs []uint64
-	occ                  []float64
 	evictSum             float64
 	evictN               int
 	observeNS            []float64
@@ -132,24 +133,43 @@ func (d *engineDrift) round(tr *tracer) (*roundResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			d.work(eng, al, ws[w], w, d.streams[w].ops[:d.warm], false)
+			d.work(eng, al, ws[w], w, d.streams[w].ops[:d.warm], 0, false)
 		}(w)
 	}
 	wg.Wait()
 
+	// Timed phase: both workers run driftSegment accesses each, meet at a
+	// barrier, and the occupancy error is read before the next segment.
 	rr := &roundResult{e2e: map[string]float64{}, layer: map[string]float64{}}
+	var occ []float64
+	var sizes []int
+	var elapsed time.Duration
 	rr.timedAt = time.Now()
 	c0 := sampleCPU()
-	t0 := time.Now()
-	for w := range ws {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			d.work(eng, al, ws[w], w, d.streams[w].ops[d.warm:], true)
-		}(w)
+	longest := 0
+	for _, st := range d.streams {
+		longest = max(longest, len(st.ops))
 	}
-	wg.Wait()
-	elapsed := time.Since(t0)
+	for lo := d.warm; lo < longest; lo += driftSegment {
+		t0 := time.Now()
+		for w := range ws {
+			ops := d.streams[w].ops
+			if lo >= len(ops) {
+				continue
+			}
+			wg.Add(1)
+			go func(w int, seg []specOp) {
+				defer wg.Done()
+				d.work(eng, al, ws[w], w, seg, lo, true)
+			}(w, ops[lo:min(lo+driftSegment, len(ops))])
+		}
+		wg.Wait()
+		dt := time.Since(t0)
+		elapsed += dt
+		rr.wall = append(rr.wall, dt.Seconds())
+		sizes = eng.PartSizes(sizes)
+		occ = append(occ, relErr(sizes, eng.Targets()))
+	}
 	c1 := sampleCPU()
 	rb.Stop()
 
@@ -158,7 +178,7 @@ func (d *engineDrift) round(tr *tracer) (*roundResult, error) {
 	var accesses int64
 	var lat latencies
 	var hits, misses uint64
-	var occ, observe []float64
+	var observe []float64
 	evictSum, evictN := 0.0, 0
 	ipc := 0.0
 	for _, w := range ws {
@@ -166,10 +186,11 @@ func (d *engineDrift) round(tr *tracer) (*roundResult, error) {
 		accesses += w.accesses
 		lat.get = append(lat.get, w.lat.get...)
 		lat.set = append(lat.set, w.lat.set...)
-		occ = append(occ, w.occ...)
 		observe = append(observe, w.observeNS...)
 		evictSum += w.evictSum
 		evictN += w.evictN
+		w.tr.count("shardcache.Engine.Access", uint64(w.accesses))
+		w.tr.count("alloc.Allocator.Observe", uint64(w.accesses))
 		tr.merge(w.tr)
 	}
 	for p := 0; p < parts; p++ {
@@ -196,13 +217,14 @@ func (d *engineDrift) round(tr *tracer) (*roundResult, error) {
 	if err := checkDecisions(log, d.lines, cfg.MinLines); err != nil {
 		return nil, err
 	}
-	if m := total.totalMisses(); m < int64(d.distinct) {
-		return nil, fmt.Errorf("%d misses from the first access, below the %d distinct addresses of the input", m, d.distinct)
+	if err := checkColdMisses(total.totalMisses(), d.distinct); err != nil {
+		return nil, err
 	}
 
 	for _, st := range d.streams {
 		rr.ops += int64(len(st.ops))
 	}
+	rr.timedOps = accesses
 	rr.e2e["macc_s"] = float64(accesses) / elapsed.Seconds() / 1e6
 	rr.e2e["miss_ratio"] = float64(misses) / float64(hits+misses)
 	rr.e2e["aef"] = evictSum / float64(evictN)
@@ -241,17 +263,17 @@ func (d *engineDrift) round(tr *tracer) (*roundResult, error) {
 	return rr, nil
 }
 
-// work replays ops on one worker. Every result feeds the worker's ledger;
-// timed passes also sample latencies, count post-warm-up statistics and,
-// on worker 0, read the occupancy error every driftOccEvery accesses.
-func (d *engineDrift) work(eng *shardcache.Engine, al *alloc.Allocator, w *driftWorker, id int, ops []specOp, timed bool) {
-	var sizes []int
+// work replays ops, which start at index base of the worker's stream, on
+// one worker. Every result feeds the worker's ledger; timed passes also
+// sample latencies and count post-warm-up statistics.
+func (d *engineDrift) work(eng *shardcache.Engine, al *alloc.Allocator, w *driftWorker, id int, ops []specOp, base int, timed bool) {
 	var res core.AccessResult
-	for i := range ops {
-		op := &ops[i]
+	for j := range ops {
+		op := &ops[j]
 		if op.churn() {
 			continue // the allocator is the only target authority
 		}
+		i := base + j
 		part := int(op.part)
 		if !timed || !sampled(i) {
 			res = eng.Access(op.addr, part)
@@ -283,14 +305,6 @@ func (d *engineDrift) work(eng *shardcache.Engine, al *alloc.Allocator, w *drift
 			w.evictSum += res.EvictedFutility
 			w.evictN++
 		}
-		if id == 0 && i%driftOccEvery == 0 {
-			sizes = eng.PartSizes(sizes)
-			w.occ = append(w.occ, relErr(sizes, eng.Targets()))
-		}
-	}
-	if timed {
-		w.tr.count("shardcache.Engine.Access", uint64(w.accesses))
-		w.tr.count("alloc.Allocator.Observe", uint64(w.accesses))
 	}
 }
 

@@ -140,6 +140,13 @@ type roundResult struct {
 	e2e map[string]float64
 	// layer holds per-layer metrics (filled in traced rounds).
 	layer map[string]float64
+	// wall and cpu, when set, split the timed phase into pieces of work
+	// that are the same in every round: wall[j] and cpu[j] are the wall
+	// and CPU seconds piece j took, over timedOps accesses in all. The run
+	// then reports macc_s and cpu_us_per_req from each piece's median over
+	// rounds (see pieceMedians) instead of the median round.
+	wall, cpu []float64
+	timedOps  int64
 }
 
 // runner is one workload after set-up. round performs one fixed amount of
@@ -314,6 +321,16 @@ func measure(w benchWorkload, e env, seconds float64, traced bool, log io.Writer
 				v = rounds[0].timedAt.Sub(processStart).Seconds()
 			case "peak_rss_mb":
 				v = peakRSSMB()
+			case "macc_s", "cpu_us_per_req":
+				v = medianOf(plainRounds, func(r *roundResult) float64 { return r.e2e[m.name] })
+				if secs := pieceMedians(plainRounds, m.name == "cpu_us_per_req"); secs > 0 {
+					ops := float64(plainRounds[0].timedOps)
+					if m.name == "macc_s" {
+						v = ops / secs / 1e6
+					} else {
+						v = secs * 1e6 / ops
+					}
+				}
 			default:
 				v = medianOf(plainRounds, func(r *roundResult) float64 { return r.e2e[m.name] })
 			}
@@ -362,6 +379,39 @@ func checkExactRepeat(rounds []*roundResult) error {
 		}
 	}
 	return nil
+}
+
+// pieceMedians returns the sum over pieces of each piece's median wall
+// (or, with cpu, CPU) seconds over rounds, or 0 when the rounds are not
+// split into the same pieces. Every round repeats the same work, so piece j
+// is the same work in each round; a stall of the host that hits one piece
+// in one round drops out of its median, while a cost the program pays in a
+// piece every time stays in it.
+func pieceMedians(rounds []*roundResult, cpu bool) float64 {
+	get := func(r *roundResult) []float64 {
+		if cpu {
+			return r.cpu
+		}
+		return r.wall
+	}
+	n := len(get(rounds[0]))
+	if n == 0 {
+		return 0
+	}
+	for _, r := range rounds {
+		if len(get(r)) != n || r.timedOps != rounds[0].timedOps {
+			return 0
+		}
+	}
+	sum := 0.0
+	xs := make([]float64, len(rounds))
+	for j := 0; j < n; j++ {
+		for i, r := range rounds {
+			xs[i] = get(r)[j]
+		}
+		sum += median(xs)
+	}
+	return sum
 }
 
 func medianOf(rounds []*roundResult, f func(*roundResult) float64) float64 {

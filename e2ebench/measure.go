@@ -70,6 +70,11 @@ func sampleCPU() cpuSample {
 	}
 }
 
+// cpuSecs returns the process's user+sys CPU seconds between a and b.
+func cpuSecs(a, b cpuSample) float64 {
+	return (b.user - a.user + b.sys - a.sys).Seconds()
+}
+
 // procLayers fills the process and runtime per-layer metrics for ops
 // operations performed between a and b, and returns the CPU microseconds
 // per operation.

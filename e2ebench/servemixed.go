@@ -30,15 +30,16 @@ const (
 	serveLines    = 4096
 	serveSetShare = 0.3
 	serveTheta    = 0.9
-	// serveOccEvery is connection 0's request interval between occupancy reads.
-	serveOccEvery = 256
+	// serveOccEvery is the interval at which a sampler goroutine reads the
+	// engine's occupancy error during an exchange.
+	serveOccEvery = 25 * time.Millisecond
 	// serveRebalance is fsserve's default rebalancer tick.
 	serveRebalance = 250 * time.Millisecond
 	// serveWarmRounds is the number of untimed mixed rounds in set-up.
 	serveWarmRounds = 3
 	// replayPasses is how many times each round's engine key stream is
 	// replayed into a fresh engine for macc_s.
-	replayPasses = 32
+	replayPasses = 4
 	// engineSeed configures the server's engine; the run seed varies only
 	// the requests.
 	engineSeed = 0x5e77e
@@ -114,8 +115,7 @@ type serveMixed struct {
 	// pass starts by feeding them to its fresh engine.
 	fill     [][]request
 	fillOuts [][]outcome
-	// lastOcc holds the occupancy errors connection 0 read during the last
-	// exchange.
+	// lastOcc holds the occupancy errors sampled during the last exchange.
 	lastOcc []float64
 }
 
@@ -257,8 +257,10 @@ func (s *serveMixed) schedule(c *serveConn) []request {
 
 // exchange runs every connection's schedule: a sender writes each request
 // when it is due (every due request in one write) and a reader checks each
-// response in order. It returns each connection's outcomes; a non-nil
-// error is a broken check or a transport failure.
+// response in order. Meanwhile a sampler goroutine of its own, apart from
+// the sender and the readers, reads the engine's occupancy error every
+// serveOccEvery into s.lastOcc. It returns each connection's outcomes; a
+// non-nil error is a broken check or a transport failure.
 func (s *serveMixed) exchange(scheds [][]request, tr *tracer) ([][]outcome, [][]sendInfo, error) {
 	outs := make([][]outcome, len(s.conns))
 	sends := make([][]sendInfo, len(s.conns))
@@ -279,7 +281,25 @@ func (s *serveMixed) exchange(scheds [][]request, tr *tracer) ([][]outcome, [][]
 		defer wg.Done()
 		errs[len(s.conns)] = s.send(scheds, sends, start)
 	}()
+	stop := make(chan struct{})
+	occDone := make(chan []float64)
+	go func() {
+		var occ []float64
+		tick := time.NewTicker(serveOccEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				occ = append(occ, shardOccErr(s.srv.Engine()))
+			case <-stop:
+				occDone <- occ
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	s.lastOcc = <-occDone
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
@@ -310,13 +330,10 @@ func (s *serveMixed) exchange(scheds [][]request, tr *tracer) ([][]outcome, [][]
 // one write. It runs on its own OS thread with a 1 µs timer slack and
 // sleeps in nanosleep, because the Go runtime's timers resolve sub-
 // millisecond sleeps to about a millisecond; the thread exits with the
-// goroutine. Between writes it reads the engine's occupancy error every
-// serveOccEvery requests of connection 0.
+// goroutine.
 func (s *serveMixed) send(scheds [][]request, sends [][]sendInfo, start time.Time) error {
 	runtime.LockOSThread()                                                 // never unlocked: the thread, and its timer slack, end with this goroutine
 	_, _, _ = syscall.Syscall(syscall.SYS_PRCTL, prSetTimerSlack, 1000, 0) // best effort; a failure only coarsens pacing
-	s.lastOcc = s.lastOcc[:0]
-	eng := s.srv.Engine()
 	next := make([]int, len(scheds))
 	for {
 		// The earliest unsent request over every connection.
@@ -362,9 +379,6 @@ func (s *serveMixed) send(scheds [][]request, sends [][]sendInfo, start time.Tim
 				return fmt.Errorf("connection %d: write: %w", c.id, err)
 			}
 			next[ci] = i
-			if ci == 0 && first/serveOccEvery != i/serveOccEvery {
-				s.lastOcc = append(s.lastOcc, shardOccErr(eng))
-			}
 		}
 	}
 }
@@ -436,30 +450,24 @@ func (s *serveMixed) round(tr *tracer) (*roundResult, error) {
 
 	// The server's per-tenant GET accounting must match what the client
 	// sent and saw, and nothing may be shed, degraded or lost.
-	for t := range serveTargets {
-		var gets, found uint64
-		for _, c := range s.conns {
-			gets += c.gets[t]
-			found += c.found[t]
-		}
-		ts := st.Tenants[t]
-		if ts.Hits+ts.Misses != gets || ts.Hits != found {
-			return nil, fmt.Errorf("tenant %d: server counts %d hits and %d misses, the client sent %d GETs and saw %d found",
-				t, ts.Hits, ts.Misses, gets, found)
-		}
-		if ts.Shed+ts.StaleServes+ts.Rejected+ts.Deadlined != 0 {
-			return nil, fmt.Errorf("tenant %d: %d shed, %d stale, %d rejected, %d deadlined requests",
-				t, ts.Shed, ts.StaleServes, ts.Rejected, ts.Deadlined)
+	gets := make([]uint64, len(serveTargets))
+	found := make([]uint64, len(serveTargets))
+	for _, c := range s.conns {
+		for t := range serveTargets {
+			gets[t] += c.gets[t]
+			found[t] += c.found[t]
 		}
 	}
-	if st.Panics+st.BadFrames+st.SlowClients+st.ForcedConns != 0 {
-		return nil, fmt.Errorf("server reports %d panics, %d bad frames, %d slow clients, %d forced closes",
-			st.Panics, st.BadFrames, st.SlowClients, st.ForcedConns)
+	if err := checkServerCounts(st.Tenants, gets, found); err != nil {
+		return nil, err
+	}
+	if err := checkUndegraded(st); err != nil {
+		return nil, err
 	}
 
 	var lat latencies
 	var wire, late, codec []float64
-	gets := make([]uint64, len(serveTargets))
+	gets = make([]uint64, len(serveTargets))
 	notFound := make([]uint64, len(serveTargets))
 	for ci, o := range outs {
 		for i := range o {

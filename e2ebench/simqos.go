@@ -75,11 +75,6 @@ func setupSimQoS(e env, tr *tracer) (runner, error) {
 		tr.layer["sim.trace_build_s"] = float64(t1-t0) / 1e9
 	}
 	s.targets = policy.QoS{Subjects: simSubjects, Background: simThreads - simSubjects, SubjectLines: sc.subjectLines}.Targets(sc.lines)
-	// Warm-up: one untimed round, so heap growth, page faults and cold
-	// CPU caches are paid before the first timed round.
-	if _, err := s.round(nil); err != nil {
-		return nil, fmt.Errorf("warm-up round: %w", err)
-	}
 	return s, nil
 }
 
@@ -149,6 +144,10 @@ func (s *simQoS) round(tr *tracer) (*roundResult, error) {
 	// CPU per simulated access, excluding the FullAssoc build between runs.
 	cpu := procLayers(nil, c0, c1, s.firstN) + procLayers(nil, c1, c2, s.firstN)
 	rr.e2e["cpu_us_per_req"] = cpu / 2
+	// The two schemes' runs are the round's pieces (see pieceMedians).
+	rr.timedOps = 2 * s.firstN
+	rr.wall = []float64{dFS.Seconds(), dFA.Seconds()}
+	rr.cpu = []float64{cpuSecs(c0, c1), cpuSecs(c1, c2)}
 	if tr.on() {
 		procLayers(rr.layer, c0, c2, 2*s.firstN)
 	}
